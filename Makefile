@@ -10,7 +10,7 @@ LDFLAGS   = -ldflags "-X spstream/internal/version.Version=$(VERSION) \
 	-X spstream/internal/version.Commit=$(COMMIT) \
 	-X spstream/internal/version.BuildDate=$(BUILDDATE)"
 
-.PHONY: all build test race cover bench bench-skew bench-compare benchcmp bench-go bench-ooc threshold lint repro repro-measure fuzz e2e wal-chaos cluster-chaos clean
+.PHONY: all build test test-cpu race cover bench bench-skew bench-compare benchcmp bench-go bench-ooc threshold lint repro repro-measure fuzz e2e wal-chaos cluster-chaos clean
 
 all: build test
 
@@ -20,6 +20,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The bit-identity contract must hold at any GOMAXPROCS, so the
+# packages that own it also run at 1, 2 and 4 CPUs.
+test-cpu:
+	$(GO) test -cpu 1,2,4 ./internal/core/ ./internal/mttkrp/ ./internal/csf/ ./internal/sptensor/ooc/
 
 race:
 	$(GO) test -race ./...

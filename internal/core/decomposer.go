@@ -59,8 +59,9 @@ type Decomposer struct {
 	kernels []kernelChoice
 
 	// Out-of-core evaluation (see streamed.go): the pooled streaming
-	// MTTKRP kernel (created on first blocked slice) and the evaluation
-	// mode the selector picked for the most recent block slice.
+	// MTTKRP kernel behind kcStream (created on first streamed slice)
+	// and the evaluation mode the selector picked for the most recent
+	// block slice.
 	sk       *mttkrp.StreamKernel
 	lastEval perfmodel.EvalMode
 
@@ -200,15 +201,81 @@ func (d *Decomposer) Breakdown() *trace.Breakdown { return &d.bd }
 // ResetBreakdown clears accumulated phase timings.
 func (d *Decomposer) ResetBreakdown() { d.bd.Reset() }
 
+// operand is one slice's nonzeros as the kernels read them: a resident
+// tensor x, or a block source src evaluated out of core. Exactly one is
+// set. The same explicit loop runs over both; the kernel table decides
+// which kernels read which (see kcStream).
+type operand struct {
+	x   *sptensor.Tensor
+	src sptensor.BlockSource
+}
+
+func (in operand) nnz() int {
+	if in.src != nil {
+		return in.src.NNZ()
+	}
+	return in.x.NNZ()
+}
+
+// scan is the guarded path's input scan: coordinates in range and
+// values finite. A block source must also decode every block and hold
+// the nonzero count it advertises.
+func (in operand) scan() error {
+	if in.src == nil {
+		return scanSliceInput(in.x)
+	}
+	total := 0
+	for b := 0; b < in.src.Blocks(); b++ {
+		blk, err := in.src.Block(b)
+		if err != nil {
+			return err
+		}
+		if err := scanSliceInput(blk); err != nil {
+			return fmt.Errorf("block %d: %w", b, err)
+		}
+		total += blk.NNZ()
+	}
+	if total != in.src.NNZ() {
+		return fmt.Errorf("sptensor: block source reports %d nonzeros, blocks hold %d", in.src.NNZ(), total)
+	}
+	return nil
+}
+
+// norm2 returns ‖X‖². A block source accumulates block by block in
+// block order: the same left-to-right sum Norm2 takes over the
+// materialized concatenation.
+func (in operand) norm2() (float64, error) {
+	if in.src == nil {
+		return in.x.Norm2(), nil
+	}
+	sum := 0.0
+	for b := 0; b < in.src.Blocks(); b++ {
+		blk, err := in.src.Block(b)
+		if err != nil {
+			return 0, err
+		}
+		for _, v := range blk.Vals {
+			sum += v * v
+		}
+	}
+	return sum, nil
+}
+
 // checkSlice validates a slice's shape against the decomposer.
-func (d *Decomposer) checkSlice(x *sptensor.Tensor) error {
-	if x == nil {
+func (d *Decomposer) checkSlice(in operand) error {
+	var dims []int
+	switch {
+	case in.src != nil:
+		dims = in.src.Dims()
+	case in.x != nil:
+		dims = in.x.Dims
+	default:
 		return fmt.Errorf("core: nil slice")
 	}
-	if x.NModes() != d.n {
-		return fmt.Errorf("core: slice has %d modes, decomposer expects %d", x.NModes(), d.n)
+	if len(dims) != d.n {
+		return fmt.Errorf("core: slice has %d modes, decomposer expects %d", len(dims), d.n)
 	}
-	for m, dim := range x.Dims {
+	for m, dim := range dims {
 		if dim != d.dims[m] {
 			return fmt.Errorf("core: slice mode %d length %d ≠ %d", m, dim, d.dims[m])
 		}
@@ -245,22 +312,36 @@ func (d *Decomposer) refreshGrams() {
 // mode is the (N+1)-th ALS block). The locked flag selects the
 // pathological single-lock kernel (Baseline) vs the thread-local
 // reduction — the paper's prime example of lock contention (§IV-B).
-func (d *Decomposer) solveS(x *sptensor.Tensor, factors []*dense.Matrix, locked bool) error {
+func (d *Decomposer) solveS(in operand, factors []*dense.Matrix, locked bool) error {
 	phi := d.sPhi
 	phi.Fill(1)
 	for m := range factors {
 		dense.Hadamard(phi, phi, d.c[m])
 	}
 	dense.AddScaledIdentity(phi, phi, d.opt.StreamRidge)
-	if locked {
-		d.mt.TimeModeLocked(d.s, x, factors)
-	} else {
-		d.mt.TimeMode(d.s, x, factors)
+	if err := d.timeMode(d.s, in, factors, locked); err != nil {
+		return fmt.Errorf("core: sₜ MTTKRP: %w", err)
 	}
 	if err := d.factorize(phi); err != nil {
 		return fmt.Errorf("core: sₜ solve: %w", err)
 	}
 	d.chol.SolveVec(d.s)
+	return nil
+}
+
+// timeMode computes the streaming-mode MTTKRP ψ into dst. A block
+// source always takes the streamed thread-local reduction, which is
+// bit-identical to the in-memory TimeMode; the single-lock variant has
+// no streamed twin.
+func (d *Decomposer) timeMode(dst []float64, in operand, factors []*dense.Matrix, locked bool) error {
+	switch {
+	case in.src != nil:
+		return d.streamKernel().TimeMode(dst, in.src, factors)
+	case locked:
+		d.mt.TimeModeLocked(dst, in.x, factors)
+	default:
+		d.mt.TimeMode(dst, in.x, factors)
+	}
 	return nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"spstream/internal/mttkrp"
 	"spstream/internal/parallel"
 	"spstream/internal/resilience"
-	"spstream/internal/sptensor"
 	"spstream/internal/trace"
 )
 
@@ -19,11 +18,12 @@ import (
 // every per-slice artifact (compiled MTTKRP layouts, convergence state)
 // out of the Decomposer while letting tests drive — and measure — a
 // single steady-state inner iteration in isolation. The kernel table
-// d.kernels (resolved in beginExplicit) says which layout each mode's
-// MTTKRP dispatches to; plan is nil when no mode chose it, and the CSF
-// trees live in the Decomposer's pooled engine.
+// d.kernels (resolved in beginExplicit) says which kernel each mode's
+// MTTKRP dispatches to; plan is nil when no mode chose it, the CSF
+// trees live in the Decomposer's pooled engine, and a block source
+// operand streams through kcStream on every mode.
 type explicitRun struct {
-	x    *sptensor.Tensor
+	in   operand
 	plan *mttkrp.Plan
 	// rm, when non-nil, is the layout manager's compact renumbering of
 	// the slice (see beginKernelsLayout): the kernels run over rm.X and
@@ -36,15 +36,26 @@ type explicitRun struct {
 	res       SliceResult
 }
 
+// view returns the operand and factors the kernels run over: the
+// compact remapped slice with the gathered rows, or the slice as given
+// with the full factors.
+func (d *Decomposer) view(run *explicitRun) (operand, []*dense.Matrix) {
+	if run.rm != nil {
+		return operand{x: run.rm.X}, d.aNzCur
+	}
+	return run.in, d.a
+}
+
 // processSliceExplicit runs one time slice of Algorithm 1 with explicit
-// factor matrices — the Baseline and Optimized variants. The two differ
-// in kernel choice: Lock vs plan-based segmented MTTKRP, single-lock vs
+// factor matrices — the Baseline and Optimized variants, and every
+// slice evaluated out of core. The two algorithms differ in kernel
+// choice: Lock vs plan-based segmented MTTKRP, single-lock vs
 // thread-local streaming-mode update, and Algorithm 2 vs Algorithm 3
 // ADMM for constrained problems. The context is checked at iteration
 // boundaries (and inside long ADMM loops via the solver's cancel hook),
 // so cancellation abandons the slice without tearing down mid-kernel.
-func (d *Decomposer) processSliceExplicit(ctx context.Context, x *sptensor.Tensor) (SliceResult, error) {
-	run, err := d.beginExplicit(x)
+func (d *Decomposer) processSliceExplicit(ctx context.Context, in operand) (SliceResult, error) {
+	run, err := d.beginExplicit(in)
 	if err != nil {
 		return run.res, err
 	}
@@ -65,20 +76,21 @@ func (d *Decomposer) processSliceExplicit(ctx context.Context, x *sptensor.Tenso
 			break
 		}
 	}
-	return d.finishExplicit(run), nil
+	return d.finishExplicit(run)
 }
 
 // beginExplicit performs the per-slice Pre work: snapshot A_{t-1} and
 // C_{t-1}, seed H = C (A == A_{t-1} at the start of the inner loop),
 // resolve the per-mode kernel table and compile the layouts it needs
 // (coordinate plan and/or CSF trees — both amortized over the inner
-// iterations), and solve the closed-form sₜ warm start.
-func (d *Decomposer) beginExplicit(x *sptensor.Tensor) (*explicitRun, error) {
+// iterations), and solve the closed-form sₜ warm start. A block source
+// streams every mode and compiles nothing.
+func (d *Decomposer) beginExplicit(in operand) (*explicitRun, error) {
 	run := &explicitRun{
-		x:         x,
+		in:        in,
 		optimized: d.opt.Algorithm != Baseline,
 		deltaPrev: math.Inf(1),
-		res:       SliceResult{T: d.t, NNZ: x.NNZ(), Fit: math.NaN()},
+		res:       SliceResult{T: d.t, NNZ: in.nnz(), Fit: math.NaN()},
 	}
 	var err error
 	d.bd.Time(trace.Pre, func() {
@@ -87,14 +99,17 @@ func (d *Decomposer) beginExplicit(x *sptensor.Tensor) (*explicitRun, error) {
 			d.cPrev[m].CopyFrom(d.c[m])
 			d.h[m].CopyFrom(d.c[m])
 		}
-		run.plan, run.rm = d.beginKernelsLayout(x)
+		if in.src != nil {
+			d.beginStreamKernels()
+		} else {
+			run.plan, run.rm = d.beginKernelsLayout(in.x)
+		}
 		if run.rm != nil {
 			d.ensureNzPsi(run.rm)
 			d.ensureANzCur(run.rm)
-			err = d.solveS(run.rm.X, d.aNzCur, !run.optimized)
-		} else {
-			err = d.solveS(x, d.a, !run.optimized)
 		}
+		kin, factors := d.view(run)
+		err = d.solveS(kin, factors, !run.optimized)
 	})
 	if err != nil {
 		return run, err
@@ -114,6 +129,8 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (bool, error) {
 	d.bd.Iters++
 	phi := d.scratch1
 	q := d.scratch2
+	kin, factors := d.view(run)
+	rm := run.rm
 	for n := 0; n < d.n; n++ {
 		// Φ⁽ⁿ⁾ and its Cholesky factorization. Hoisted ahead of the Ψ
 		// work (on which it does not depend) so the remapped path can use
@@ -128,29 +145,35 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (bool, error) {
 		// Ψ⁽ⁿ⁾ = MTTKRP(Xₜ, {A}, n)·diag(sₜ) — the slice's time mode
 		// contributes the single Khatri-Rao row sₜ, which (all nonzeros
 		// sharing one time index) reduces to a column scaling of the
-		// N-way MTTKRP …
+		// N-way MTTKRP. On a remapped slice the kernel runs over the
+		// compact slice and gathered factors into the |nz|×K Ψ_nz.
 		t0 = time.Now()
-		if rm := run.rm; rm != nil && d.opt.Constraint == nil {
-			// Remapped path: the kernel runs over the compact slice and
-			// gathered factors into the |nz|×K Ψ_nz …
-			psiNz := d.nzPsi[n]
-			switch d.kernels[n] {
-			case kcCSF:
-				d.csfEng.MTTKRP(psiNz, d.aNzCur, n)
-			case kcPlan:
-				d.mt.PlanMTTKRP(psiNz, run.plan, d.aNzCur, n)
-			default:
-				d.mt.Lock(psiNz, rm.X, d.aNzCur, n)
-			}
-			d.bd.Add(trace.MTTKRP, time.Since(t0))
-			// … the historical term folds into the compact rows only:
-			// Ψ_nz ← Ψ_nz·diag(sₜ) + (A⁽ⁿ⁾ₜ₋₁)_nz·Q …
-			t0 = time.Now()
-			d.buildQ(q, n)
+		psi := d.psi[n]
+		if rm != nil {
+			psi = d.nzPsi[n]
+		}
+		if err := d.mttkrpMode(psi, kin, run.plan, factors, n); err != nil {
+			return false, fmt.Errorf("core: mode %d MTTKRP: %w", n, err)
+		}
+		if rm == nil {
+			dense.ScaleColumns(psi, psi, d.s)
+		}
+		d.bd.Add(trace.MTTKRP, time.Since(t0))
+		t0 = time.Now()
+		d.buildQ(q, n)
+		switch {
+		case rm == nil:
+			// … + A⁽ⁿ⁾ₜ₋₁ ((⊛_{v≠n} H⁽ᵛ⁾) ⊛ µG): the "Historical" term,
+			// an Iₙ×K by K×K product against the full previous factor.
+			d.addMulAB(psi, d.prevA[n], q)
+			d.bd.Add(trace.Historical, time.Since(t0))
+		case d.opt.Constraint == nil:
+			// Remapped: the historical term folds into the compact rows
+			// only: Ψ_nz ← Ψ_nz·diag(sₜ) + (A⁽ⁿ⁾ₜ₋₁)_nz·Q …
 			s := d.s
 			prev := d.prevA[n]
 			for r, g := range rm.NZ[n] {
-				dst := psiNz.Row(r)
+				dst := psi.Row(r)
 				for j := range dst {
 					dst[j] *= s[j]
 				}
@@ -171,60 +194,31 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (bool, error) {
 			// M = Q·Φ⁻¹ followed by a streaming product — the per-row
 			// triangular solves run only over the |nz| compact rows.
 			t0 = time.Now()
-			d.solveRows(psiNz, psiNz, &d.chol)
+			d.solveRows(psi, psi, &d.chol)
 			for i := 0; i < d.k; i++ {
 				d.chol.SolveVec(q.Row(i))
 			}
 			d.mulAB(d.a[n], d.prevA[n], q)
-			rm.ScatterMode(d.a[n], psiNz, n)
+			rm.ScatterMode(d.a[n], psi, n)
 			d.bd.Add(trace.Update, time.Since(t0))
-		} else if rm != nil {
+		default:
 			// Constrained remap: ADMM needs the full-row Ψ, so build it
 			// as overwrite-plus-scatter (still no Iₙ×K zero fill).
-			psiNz := d.nzPsi[n]
-			switch d.kernels[n] {
-			case kcCSF:
-				d.csfEng.MTTKRP(psiNz, d.aNzCur, n)
-			case kcPlan:
-				d.mt.PlanMTTKRP(psiNz, run.plan, d.aNzCur, n)
-			default:
-				d.mt.Lock(psiNz, rm.X, d.aNzCur, n)
-			}
-			d.bd.Add(trace.MTTKRP, time.Since(t0))
-			t0 = time.Now()
-			d.buildQ(q, n)
 			d.mulAB(d.psi[n], d.prevA[n], q)
 			s := d.s
 			for r, g := range rm.NZ[n] {
 				dst := d.psi[n].Row(int(g))
-				src := psiNz.Row(r)
+				src := psi.Row(r)
 				for j, v := range src {
 					dst[j] += v * s[j]
 				}
 			}
 			d.bd.Add(trace.Historical, time.Since(t0))
-		} else {
-			switch d.kernels[n] {
-			case kcCSF:
-				d.csfEng.MTTKRP(d.psi[n], d.a, n)
-			case kcPlan:
-				d.mt.PlanMTTKRP(d.psi[n], run.plan, d.a, n)
-			default:
-				d.mt.Lock(d.psi[n], run.x, d.a, n)
-			}
-			dense.ScaleColumns(d.psi[n], d.psi[n], d.s)
-			d.bd.Add(trace.MTTKRP, time.Since(t0))
-			// … + A⁽ⁿ⁾ₜ₋₁ ((⊛_{v≠n} H⁽ᵛ⁾) ⊛ µG): the "Historical" term,
-			// an Iₙ×K by K×K product against the full previous factor.
-			t0 = time.Now()
-			d.buildQ(q, n)
-			d.addMulAB(d.psi[n], d.prevA[n], q)
-			d.bd.Add(trace.Historical, time.Since(t0))
 		}
 		// A⁽ⁿ⁾ update for the paths that materialized the full Ψ: direct
 		// solve (non-constrained) or ADMM. The fused remap path already
 		// updated A⁽ⁿ⁾ above.
-		if run.rm == nil || d.opt.Constraint != nil {
+		if rm == nil || d.opt.Constraint != nil {
 			t0 = time.Now()
 			if d.opt.Constraint == nil {
 				d.solveRows(d.a[n], d.psi[n], &d.chol)
@@ -256,11 +250,11 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (bool, error) {
 			d.normalizeModeExplicit(n)
 			d.bd.Add(trace.Misc, time.Since(t0))
 		}
-		if run.rm != nil {
+		if rm != nil {
 			// Refresh the mode's compact gather so the remaining modes'
 			// kernels (and the time-mode solve) read the updated rows.
 			t0 = time.Now()
-			run.rm.GatherMode(d.aNzCur[n], d.a[n], n)
+			rm.GatherMode(d.aNzCur[n], d.a[n], n)
 			d.bd.Add(trace.Misc, time.Since(t0))
 		}
 	}
@@ -268,12 +262,7 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (bool, error) {
 	// single-row MTTKRP that motivates the Hybrid Lock kernel) and with
 	// it the µG + ssᵀ Hadamard operand.
 	t0 := time.Now()
-	var err error
-	if run.rm != nil {
-		err = d.solveS(run.rm.X, d.aNzCur, !run.optimized)
-	} else {
-		err = d.solveS(run.x, d.a, !run.optimized)
-	}
+	err := d.solveS(kin, factors, !run.optimized)
 	d.bd.Add(trace.MTTKRP, time.Since(t0))
 	if err != nil {
 		return false, err
@@ -300,12 +289,16 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (bool, error) {
 
 // finishExplicit performs the Post work (fit tracking, G/S temporal
 // update) and returns the slice result.
-func (d *Decomposer) finishExplicit(run *explicitRun) SliceResult {
+func (d *Decomposer) finishExplicit(run *explicitRun) (SliceResult, error) {
 	if d.opt.TrackFit {
-		d.bd.Time(trace.Misc, func() { run.res.Fit = d.sliceFit(run.x) })
+		var err error
+		d.bd.Time(trace.Misc, func() { run.res.Fit, err = d.sliceFit(run.in) })
+		if err != nil {
+			return run.res, err
+		}
 	}
 	d.bd.Time(trace.Post, d.finishSlice)
-	return run.res
+	return run.res, nil
 }
 
 // ensurePsi lazily allocates the Ψ workspace (one Iₙ×K matrix per mode).

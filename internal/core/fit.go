@@ -14,13 +14,22 @@ import (
 //	‖X−X̂‖² = ‖X‖² − 2·⟨X, X̂⟩ + ‖X̂‖²
 //	⟨X, X̂⟩  = sᵀ·ψ with ψ the streaming-mode MTTKRP over current factors
 //	‖X̂‖²    = sᵀ(⊛_v C⁽ᵛ⁾)s
-func (d *Decomposer) sliceFit(x *sptensor.Tensor) float64 {
-	xnorm2 := x.Norm2()
+//
+// A block source yields the same bits as its materialized
+// concatenation: ‖X‖² and ψ both reduce in the in-memory order. Only a
+// block that fails to decode returns an error.
+func (d *Decomposer) sliceFit(in operand) (float64, error) {
+	xnorm2, err := in.norm2()
+	if err != nil {
+		return math.NaN(), fmt.Errorf("core: fit: %w", err)
+	}
 	if xnorm2 == 0 {
-		return math.NaN()
+		return math.NaN(), nil
 	}
 	psi := make([]float64, d.k)
-	d.mt.TimeMode(psi, x, d.a)
+	if err := d.timeMode(psi, in, d.a, false); err != nil {
+		return math.NaN(), fmt.Errorf("core: fit: %w", err)
+	}
 	had := d.scratch1
 	had.Fill(1)
 	for m := range d.c {
@@ -34,7 +43,7 @@ func (d *Decomposer) sliceFit(x *sptensor.Tensor) float64 {
 	if err2 < 0 {
 		err2 = 0
 	}
-	return 1 - math.Sqrt(err2/xnorm2)
+	return 1 - math.Sqrt(err2/xnorm2), nil
 }
 
 // FitOf evaluates the current model's fit 1 − ‖X−X̂‖_F/‖X‖_F against an
@@ -42,13 +51,9 @@ func (d *Decomposer) sliceFit(x *sptensor.Tensor) float64 {
 // e.g. to score a held-out or incoming slice before folding it in.
 // Returns NaN for an empty slice.
 func (d *Decomposer) FitOf(x *sptensor.Tensor) (float64, error) {
-	if x == nil || x.NModes() != d.n {
-		return math.NaN(), fmt.Errorf("core: FitOf slice has wrong mode count")
+	in := operand{x: x}
+	if err := d.checkSlice(in); err != nil {
+		return math.NaN(), fmt.Errorf("core: FitOf: %w", err)
 	}
-	for m, dim := range x.Dims {
-		if dim != d.dims[m] {
-			return math.NaN(), fmt.Errorf("core: FitOf slice mode %d length %d ≠ %d", m, dim, d.dims[m])
-		}
-	}
-	return d.sliceFit(x), nil
+	return d.sliceFit(in)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"spstream/internal/csf"
+	"spstream/internal/dense"
 	"spstream/internal/mttkrp"
 	"spstream/internal/perfmodel"
 	"spstream/internal/sptensor"
@@ -15,7 +16,9 @@ import (
 // selector compares the predicted cost of the compiled coordinate plan
 // against the tiled CSF engine per mode, using the measured slice shape
 // — a pure function of (slice, options), so checkpoint-restored and
-// retried slices reproduce the original kernel schedule exactly.
+// retried slices reproduce the original kernel schedule exactly. A
+// slice evaluated out of core bypasses the policy: every mode takes
+// kcStream (see beginStreamKernels).
 
 // kernelChoice is one mode's resolved kernel for the current slice.
 type kernelChoice int8
@@ -24,7 +27,50 @@ const (
 	kcLock kernelChoice = iota
 	kcPlan
 	kcCSF
+	// kcStream is the blocked MTTKRP over a block source
+	// (mttkrp.StreamKernel), bit-identical to the plan kernel on the
+	// materialized slice.
+	kcStream
 )
+
+// mttkrpMode computes dst = MTTKRP(in, factors, n) with mode n's kernel
+// from the table. plan is the compiled coordinate plan (plan modes
+// only); CSF modes read the trees the pooled engine built at begin.
+// Only a streamed block that fails to decode returns an error.
+func (d *Decomposer) mttkrpMode(dst *dense.Matrix, in operand, plan *mttkrp.Plan, factors []*dense.Matrix, n int) error {
+	switch d.kernels[n] {
+	case kcStream:
+		return d.sk.MTTKRP(dst, in.src, factors, n)
+	case kcCSF:
+		d.csfEng.MTTKRP(dst, factors, n)
+	case kcPlan:
+		d.mt.PlanMTTKRP(dst, plan, factors, n)
+	default:
+		d.mt.Lock(dst, in.x, factors, n)
+	}
+	return nil
+}
+
+// fillKernels sets every mode of the table to kc.
+func (d *Decomposer) fillKernels(kc kernelChoice) {
+	if cap(d.kernels) < d.n {
+		d.kernels = make([]kernelChoice, d.n)
+	}
+	d.kernels = d.kernels[:d.n]
+	for m := range d.kernels {
+		d.kernels[m] = kc
+	}
+}
+
+// beginStreamKernels resolves the table for a slice evaluated out of
+// core: every mode streams, whatever the policy and algorithm. Nothing
+// is profiled, remapped or compiled, and the layout verdict is cleared
+// so diagnostics never report a stale remap.
+func (d *Decomposer) beginStreamKernels() {
+	d.lastDec = perfmodel.Decision{}
+	d.streamKernel()
+	d.fillKernels(kcStream)
+}
 
 // kernelPolicy resolves KernelDefault to the per-algorithm default.
 func (d *Decomposer) kernelPolicy() MTTKRPKernel {
@@ -74,31 +120,20 @@ func (d *Decomposer) ensureLayout() *perfmodel.Layout {
 // selection is a pure function of (profile, rank, options) — the
 // profile of the view the kernels will actually run over, so the cost
 // model sees the remapped shape when the layout manager remapped.
-func (d *Decomposer) chooseKernelsFrom(n int, prof *perfmodel.SliceProfile) (needPlan, needCSF bool) {
-	if cap(d.kernels) < n {
-		d.kernels = make([]kernelChoice, n)
-	}
-	d.kernels = d.kernels[:n]
+func (d *Decomposer) chooseKernelsFrom(prof *perfmodel.SliceProfile) (needPlan, needCSF bool) {
 	switch d.kernelPolicy() {
 	case KernelLock:
-		for m := range d.kernels {
-			d.kernels[m] = kcLock
-		}
+		d.fillKernels(kcLock)
 	case KernelPlan:
-		for m := range d.kernels {
-			d.kernels[m] = kcPlan
-		}
+		d.fillKernels(kcPlan)
 	case KernelCSF:
-		for m := range d.kernels {
-			d.kernels[m] = kcCSF
-		}
+		d.fillKernels(kcCSF)
 	default: // KernelAuto
+		d.fillKernels(kcPlan)
 		amort := d.selectorAmortIters()
 		for m := range d.kernels {
 			if d.sel.SelectMTTKRPEx(*prof, m, d.k, amort, prof.Sorted) == perfmodel.MTTKRPCSF {
 				d.kernels[m] = kcCSF
-			} else {
-				d.kernels[m] = kcPlan
 			}
 		}
 	}
@@ -120,7 +155,7 @@ func (d *Decomposer) chooseKernels(x *sptensor.Tensor) (needPlan, needCSF bool) 
 	if d.kernelPolicy() == KernelAuto {
 		d.profiler.Profile(&d.prof, x, nil, d.t)
 	}
-	return d.chooseKernelsFrom(x.NModes(), &d.prof)
+	return d.chooseKernelsFrom(&d.prof)
 }
 
 // ensureEngine lazily creates the CSF engine on the Decomposer's pool.
@@ -185,7 +220,7 @@ func (d *Decomposer) beginKernels(x *sptensor.Tensor) *mttkrp.Plan {
 func (d *Decomposer) beginKernelsLayout(x *sptensor.Tensor) (*mttkrp.Plan, *mttkrp.Remapped) {
 	if d.kernelPolicy() != KernelAuto {
 		d.lastDec = perfmodel.Decision{}
-		needPlan, needCSF := d.chooseKernelsFrom(x.NModes(), &d.prof)
+		needPlan, needCSF := d.chooseKernelsFrom(&d.prof)
 		return d.compileKernels(x, needPlan, needCSF, true), nil
 	}
 	var lay *perfmodel.Layout
@@ -196,12 +231,12 @@ func (d *Decomposer) beginKernelsLayout(x *sptensor.Tensor) (*mttkrp.Plan, *mttk
 	dec := lay.Decide(d.prof, d.k, d.selectorAmortIters())
 	d.lastDec = dec
 	if !dec.Remap {
-		needPlan, needCSF := d.chooseKernelsFrom(x.NModes(), &d.prof)
+		needPlan, needCSF := d.chooseKernelsFrom(&d.prof)
 		return d.compileKernels(x, needPlan, needCSF, d.prof.Sorted), nil
 	}
 	rm := d.remapper.Begin(x, dec.HotFirst)
 	d.compactProfile(rm, dec.HotFirst != nil)
-	needPlan, needCSF := d.chooseKernelsFrom(x.NModes(), &d.profNz)
+	needPlan, needCSF := d.chooseKernelsFrom(&d.profNz)
 	return d.compileKernels(rm.X, needPlan, needCSF, d.profNz.Sorted), rm
 }
 

@@ -52,14 +52,6 @@ func TestKernelPolicyDefaults(t *testing.T) {
 			t.Fatalf("%v: default policy = %v, want %v", tc.alg, got, tc.want)
 		}
 	}
-	// The legacy CSFMTTKRP switch maps onto the new policy.
-	d, err := NewDecomposer([]int{10, 12, 14}, Options{Rank: 3, CSFMTTKRP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.kernelPolicy(); got != KernelCSF {
-		t.Fatalf("CSFMTTKRP: policy = %v, want KernelCSF", got)
-	}
 }
 
 // chooseKernels obeys forced policies exactly and reports the layouts

@@ -135,7 +135,7 @@ func TestLayoutCheckpointRoundTrip(t *testing.T) {
 // rows). The factor trajectories must stay close across a whole stream.
 func TestExplicitRemapEquivalence(t *testing.T) {
 	s := remapStream(t, 405, 6)
-	on, _ := runStream(t, s, Options{Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 5, Layout: LayoutAuto})
+	on, _ := runStream(t, s, Options{Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 5, Layout: LayoutDefault})
 	off, _ := runStream(t, s, Options{Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 5, Layout: LayoutOff})
 	if rm, _ := on.LastLayoutDecision(); !rm {
 		t.Fatal("layout-on run never remapped — test is vacuous")
@@ -163,7 +163,7 @@ func TestExplicitRemapIterateZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run, err := d.beginExplicit(s.Slices[2])
+	run, err := d.beginExplicit(operand{x: s.Slices[2]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestLayoutPolicyTuning(t *testing.T) {
 		t.Fatalf("frozen layout kept learning: epoch %d → %d", epoch, got)
 	}
 
-	if err := d.SetLayoutPolicy(LayoutAuto); err != nil {
+	if err := d.SetLayoutPolicy(LayoutDefault); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.ProcessSlice(s.Slices[2]); err != nil {

@@ -30,10 +30,11 @@ import (
 type Algorithm int
 
 const (
+	// Optimized is CP-stream with Hybrid Lock MTTKRP and BF-ADMM (the
+	// zero value).
+	Optimized Algorithm = iota
 	// Baseline is the unoptimized CP-stream reference.
-	Baseline Algorithm = iota
-	// Optimized is CP-stream with Hybrid Lock MTTKRP and BF-ADMM.
-	Optimized
+	Baseline
 	// SpCPStream is the paper's new Gram-form algorithm (non-constrained
 	// only).
 	SpCPStream
@@ -108,8 +109,6 @@ const (
 	// slice profile the kernel selector reads, so it costs nothing
 	// extra to keep on).
 	LayoutDefault LayoutPolicy = iota
-	// LayoutAuto is LayoutDefault spelled explicitly.
-	LayoutAuto
 	// LayoutOff disables remapping and layout learning; slices run in
 	// stream order over the full index space (the pre-layout behavior,
 	// and the apples-to-apples baseline the bench suite compares
@@ -122,8 +121,6 @@ func (l LayoutPolicy) String() string {
 	switch l {
 	case LayoutDefault:
 		return "default"
-	case LayoutAuto:
-		return "auto"
 	case LayoutOff:
 		return "off"
 	default:
@@ -186,12 +183,6 @@ type Options struct {
 	// reproducible kernel benchmarking). Adjustable between slices via
 	// Decomposer.SetLayoutPolicy.
 	Layout LayoutPolicy
-	// CSFMTTKRP is the legacy switch for the Compressed Sparse Fiber
-	// MTTKRP (SPLATT's format, related work [15]); it is equivalent to
-	// MTTKRPKernel: KernelCSF and kept for compatibility. The fiber
-	// trees reuse partial Khatri-Rao products along shared index
-	// prefixes (see csf.Engine).
-	CSFMTTKRP bool
 	// MemBudget caps the estimated resident bytes a slice may occupy
 	// during processing (see perfmodel.ResidentBytes). When a slice
 	// arriving through ProcessBlockSlice would exceed it, the slice is
@@ -245,9 +236,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.MTTKRPKernel == KernelDefault && o.CSFMTTKRP {
-		o.MTTKRPKernel = KernelCSF
 	}
 	if o.Resilience != nil {
 		cfg := o.Resilience.WithDefaults()

@@ -210,12 +210,12 @@ func recoveredError(r any) error {
 // runSlice executes one slice attempt with panic containment and the
 // solver-level cancellation check installed. It is the single choke
 // point through which both the guarded and unguarded paths process a
-// slice.
-func (d *Decomposer) runSlice(ctx context.Context, x *sptensor.Tensor) (res SliceResult, err error) {
+// slice, resident or streamed.
+func (d *Decomposer) runSlice(ctx context.Context, in operand) (res SliceResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			d.stats.PanicsRecovered++
-			res.T, res.NNZ = d.t, x.NNZ()
+			res.T, res.NNZ = d.t, in.nnz()
 			err = recoveredError(r)
 		}
 	}()
@@ -225,14 +225,12 @@ func (d *Decomposer) runSlice(ctx context.Context, x *sptensor.Tensor) (res Slic
 	}
 	d.iterNo = 0
 	if err := d.injectFault(resilience.StageBegin, 0); err != nil {
-		return SliceResult{T: d.t, NNZ: x.NNZ()}, err
+		return SliceResult{T: d.t, NNZ: in.nnz()}, err
 	}
-	switch d.opt.Algorithm {
-	case SpCPStream:
-		return d.processSliceSpCP(ctx, x)
-	default:
-		return d.processSliceExplicit(ctx, x)
+	if d.opt.Algorithm == SpCPStream && in.src == nil {
+		return d.processSliceSpCP(ctx, in.x)
 	}
+	return d.processSliceExplicit(ctx, in)
 }
 
 // ProcessSliceContext advances the factorization by one time slice
@@ -246,7 +244,17 @@ func (d *Decomposer) runSlice(ctx context.Context, x *sptensor.Tensor) (res Slic
 // resilience.ErrSliceSkipped alongside a result with Skipped set; the
 // decomposer remains at its pre-slice state and can keep streaming.
 func (d *Decomposer) ProcessSliceContext(ctx context.Context, x *sptensor.Tensor) (SliceResult, error) {
-	res, err := d.processSliceCtx(ctx, x)
+	in := operand{x: x}
+	if err := d.checkSlice(in); err != nil {
+		return SliceResult{}, err
+	}
+	return d.process(ctx, in)
+}
+
+// process runs one shape-checked slice through the guarded path and
+// fires the commit hook on success.
+func (d *Decomposer) process(ctx context.Context, in operand) (SliceResult, error) {
+	res, err := d.guardedRun(ctx, in)
 	if err == nil && d.commitHook != nil {
 		// The slice is committed: every return path with err == nil has
 		// passed the health check (guarded mode) and advanced t.
@@ -257,29 +265,19 @@ func (d *Decomposer) ProcessSliceContext(ctx context.Context, x *sptensor.Tensor
 	return res, err
 }
 
-// processSliceCtx is ProcessSliceContext without the commit hook.
-func (d *Decomposer) processSliceCtx(ctx context.Context, x *sptensor.Tensor) (SliceResult, error) {
-	if err := d.checkSlice(x); err != nil {
-		return SliceResult{}, err
-	}
-	return d.guardedRun(ctx, x.NNZ(),
-		func() error { return scanSliceInput(x) },
-		func(runCtx context.Context) (SliceResult, error) { return d.runSlice(runCtx, x) })
-}
-
-// guardedRun wraps one slice-shaped unit of work (in-memory or blocked)
-// in the resilience policy: input scan, snapshot, the retry loop with
-// per-attempt timeout, health check, and rollback + policy on failure.
-// With a nil resilience config it is exactly run(ctx).
-func (d *Decomposer) guardedRun(ctx context.Context, nnz int, scan func() error, run func(context.Context) (SliceResult, error)) (SliceResult, error) {
+// guardedRun wraps one slice attempt in the resilience policy: input
+// scan, snapshot, the retry loop with per-attempt timeout, health
+// check, and rollback + policy on failure. With a nil resilience config
+// it is exactly runSlice(ctx, in).
+func (d *Decomposer) guardedRun(ctx context.Context, in operand) (SliceResult, error) {
 	cfg := d.opt.Resilience
 	if cfg == nil {
-		return run(ctx)
+		return d.runSlice(ctx, in)
 	}
 	if !cfg.DisableInputScan {
-		if err := scan(); err != nil {
+		if err := in.scan(); err != nil {
 			d.stats.InputRejects++
-			res := SliceResult{T: d.t, NNZ: nnz}
+			res := SliceResult{T: d.t, NNZ: in.nnz()}
 			if cfg.Policy == resilience.SkipSlice {
 				d.stats.SlicesSkipped++
 				res.Skipped = true
@@ -297,7 +295,7 @@ func (d *Decomposer) guardedRun(ctx context.Context, nnz int, scan func() error,
 		if cfg.SliceTimeout > 0 {
 			runCtx, cancel = context.WithTimeout(ctx, cfg.SliceTimeout)
 		}
-		res, err = run(runCtx)
+		res, err = d.runSlice(runCtx, in)
 		if err == nil {
 			if herr := d.healthCheck(&res); herr != nil {
 				d.stats.HealthFailures++

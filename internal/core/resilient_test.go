@@ -122,13 +122,16 @@ func TestDeadlinePropagatesWithoutConfig(t *testing.T) {
 
 // TestWorkerPanicSurfacesAsError: a panic inside a pool worker during
 // ProcessSlice surfaces as an error carrying the worker's stack (with a
-// resilience config and Abort policy), not as a process crash.
+// resilience config and Abort policy), not as a process crash. Baseline
+// runs the lock kernels on the pool straight away; the optimized
+// algorithms would first hit the bad coordinate in the serial profiler.
 func TestWorkerPanicSurfacesAsError(t *testing.T) {
 	s := testStream(t, 304, []int{12, 15}, 150, 2)
 	d, err := NewDecomposer(s.Dims, Options{
-		Rank:    3,
-		Workers: 4,
-		Seed:    2,
+		Rank:      3,
+		Algorithm: Baseline,
+		Workers:   4,
+		Seed:      2,
 		Resilience: &resilience.Config{
 			Policy:           resilience.Abort,
 			DisableInputScan: true,

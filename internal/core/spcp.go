@@ -134,7 +134,7 @@ func (d *Decomposer) beginSpCP(x *sptensor.Tensor) (*spcpRun, error) {
 		run.plan = d.beginKernels(rm.X)
 		// sₜ update over the remapped slice and gathered prev factors
 		// (identical values, slice-local footprint).
-		err = d.solveS(rm.X, run.aNzPrev, false)
+		err = d.solveS(operand{x: rm.X}, run.aNzPrev, false)
 	})
 	if err != nil {
 		return run, err
@@ -167,14 +167,7 @@ func (d *Decomposer) iterateSpCP(run *spcpRun) (bool, error) {
 		// plus the nz part of the historical term, then the Φ solve.
 		t0 = time.Now()
 		psi := d.nzPsi[n]
-		switch d.kernels[n] {
-		case kcCSF:
-			d.csfEng.MTTKRP(psi, run.aNz, n)
-		case kcPlan:
-			d.mt.PlanMTTKRP(psi, run.plan, run.aNz, n)
-		default:
-			d.mt.Lock(psi, run.rm.X, run.aNz, n)
-		}
+		_ = d.mttkrpMode(psi, operand{x: run.rm.X}, run.plan, run.aNz, n) // resident: cannot fail
 		// Column-scale by sₜ: the time mode's single Khatri-Rao row
 		// (see processSliceExplicit).
 		dense.ScaleColumns(psi, psi, d.s)
@@ -220,7 +213,7 @@ func (d *Decomposer) iterateSpCP(run *spcpRun) (bool, error) {
 	// Time-mode ALS block: refresh sₜ over the remapped slice and the
 	// gathered current factors, then the µG + ssᵀ operand.
 	t0 := time.Now()
-	err := d.solveS(run.rm.X, run.aNz, false)
+	err := d.solveS(operand{x: run.rm.X}, run.aNz, false)
 	d.bd.Add(trace.MTTKRP, time.Since(t0))
 	if err != nil {
 		return false, err
@@ -280,7 +273,8 @@ func (d *Decomposer) finishSpCP(run *spcpRun) SliceResult {
 		}
 	})
 	if d.opt.TrackFit {
-		d.bd.Time(trace.Misc, func() { run.res.Fit = d.sliceFit(run.x) })
+		// A resident operand cannot fail the fit.
+		d.bd.Time(trace.Misc, func() { run.res.Fit, _ = d.sliceFit(operand{x: run.x}) })
 	}
 	d.bd.Time(trace.Post, d.finishSlice)
 	return run.res

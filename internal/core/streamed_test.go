@@ -197,3 +197,35 @@ func TestBlockSliceShapeChecks(t *testing.T) {
 		t.Fatalf("skip did not preserve state: skipped=%v t=%d", res.Skipped, guarded.T())
 	}
 }
+
+// TestStreamedKernelSchedule: a streamed slice reports its own kernel
+// table (every mode streamed), not the table the previous in-memory
+// slice resolved.
+func TestStreamedKernelSchedule(t *testing.T) {
+	dims := []int{25, 20, 30}
+	stream := testStream(t, 9, dims, 600, 2)
+	d, err := NewDecomposer(dims, Options{Rank: 4, MTTKRPKernel: KernelPlan, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ProcessSlice(stream.Slices[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(d.KernelSchedule(nil)); got != "PPP" {
+		t.Fatalf("in-memory schedule %q, want PPP", got)
+	}
+	d.opt.MemBudget = 1
+	src, err := sptensor.SplitBlocks(stream.Slices[1], 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ProcessBlockSlice(src); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.LastEvalMode(); got != perfmodel.EvalStreamed {
+		t.Fatalf("eval mode %v, want streamed", got)
+	}
+	if got := string(d.KernelSchedule(nil)); got != "SSS" {
+		t.Fatalf("streamed schedule %q, want SSS", got)
+	}
+}

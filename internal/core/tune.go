@@ -90,7 +90,7 @@ func (d *Decomposer) LayoutPolicy() LayoutPolicy { return d.opt.Layout }
 // SetLayoutPolicy overrides the adaptive-layout policy for subsequent
 // slices. LayoutOff freezes remapping and histogram learning (the
 // learned state is kept, so re-enabling resumes where it left off);
-// LayoutDefault/LayoutAuto re-enable it. The switch is exact in the
+// LayoutDefault re-enables it. The switch is exact in the
 // same sense as SetMTTKRPKernel: every layout computes the same
 // updates, only memory order (and hence rounding order) differs.
 // Unknown values return an error and leave the policy unchanged.
@@ -122,8 +122,8 @@ func (d *Decomposer) LastLayoutDecision() (remapped, hotFirst bool) {
 
 // KernelSchedule appends the current per-mode kernel table (resolved
 // at the last slice begin) to dst as one letter per mode — "P"lan,
-// "C"SF, "L"ock — the compact schedule string the determinism tests
-// compare across checkpoint restores.
+// "C"SF, "L"ock, "S"treamed out of core — the compact schedule string
+// the determinism tests compare across checkpoint restores.
 func (d *Decomposer) KernelSchedule(dst []byte) []byte {
 	for _, kc := range d.kernels {
 		switch kc {
@@ -131,6 +131,8 @@ func (d *Decomposer) KernelSchedule(dst []byte) []byte {
 			dst = append(dst, 'P')
 		case kcCSF:
 			dst = append(dst, 'C')
+		case kcStream:
+			dst = append(dst, 'S')
 		default:
 			dst = append(dst, 'L')
 		}
